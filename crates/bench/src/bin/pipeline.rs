@@ -30,20 +30,13 @@
 //!    client loop: throughput and accepted-request p50/p99 with and
 //!    without a concurrent checkpoint under adaptive pacing, plus the
 //!    shed counts and capture-yield totals the admission path produced.
-//! 8. **executor** (ISSUE 10) — the thread-per-core shard-owned executor
-//!    vs the legacy shared pool: closed-loop single-key writes mixed
-//!    with a configurable fraction of two-key cross-owner transactions,
-//!    swept over cross-shard ratio (0%/10%/50%) × worker count,
-//!    asserting the lock-free single-shard path out-runs ordered 2PL at
-//!    0% cross-shard.
 //!
 //! Environment knobs: `BENCH_OUT` (output path, default
 //! `BENCH_pipeline.json`), `BENCH_RECORDS` (default 500_000),
 //! `BENCH_SMOKE_MS` (per-strategy run length, default 1200),
 //! `BENCH_SERVER_CONNS` (comma-separated connection counts, default
 //! `100,400,1000`), `BENCH_SERVER_MS` (per-point run length, default 800),
-//! `BENCH_OVERLOAD_CONNS` (default 64), `BENCH_EXEC_MS` (per-executor-point
-//! run length, default 400).
+//! `BENCH_OVERLOAD_CONNS` (default 64).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -111,124 +104,6 @@ fn bench_registry() -> ProcRegistry {
     let mut r = ProcRegistry::new();
     r.register(Arc::new(BenchSetProc));
     r
-}
-
-/// Two-key upsert for the executor section: its footprint spans two
-/// owners whenever the keys land on different workers' stripes, forcing
-/// the shard-owned executor through its fence path.
-const BENCH_PAIR: ProcId = ProcId(2);
-
-struct BenchPairProc;
-impl Procedure for BenchPairProc {
-    fn id(&self) -> ProcId {
-        BENCH_PAIR
-    }
-    fn name(&self) -> &'static str {
-        "bench-pair"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?), Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        let a = Key(r.u64()?);
-        let b = Key(r.u64()?);
-        let val = r.bytes()?;
-        for key in [a, b] {
-            if ops.get(key).is_some() {
-                ops.put(key, val);
-            } else {
-                ops.insert(key, val);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One executor measurement: a closed-loop write workload against a live
-/// engine in `mode`, where `cross_pct`% of transactions touch a two-key
-/// cross-owner footprint and the rest are single-key. Returns committed
-/// transactions per second.
-fn executor_point(
-    mode: calc_engine::ExecutorMode,
-    workers: usize,
-    cross_pct: u64,
-    run: Duration,
-    root: &std::path::Path,
-) -> f64 {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    const EXEC_KEYS: u64 = 4096;
-    let dir = root.join(format!("executor-{mode}-{workers}w-{cross_pct}pct"));
-    let mut registry = bench_registry();
-    registry.register(Arc::new(BenchPairProc));
-    let mut config = calc_engine::EngineConfig::new(
-        StrategyKind::Calc,
-        EXEC_KEYS as usize * 2,
-        64,
-        dir,
-    );
-    config.workers = workers;
-    config.executor_mode = mode;
-    let spw = config.shards_per_worker;
-    let db = Arc::new(calc_engine::Database::open(config, registry).expect("open exec engine"));
-    for k in 0..EXEC_KEYS {
-        db.load_initial(Key(k), &[0u8; 64]).expect("exec preload");
-    }
-    db.finalize_load(false).expect("exec finalize");
-
-    // The cross-owner partner key sits one owner-stripe ahead: with
-    // `shards = workers * spw`, key `a + spw` lands on shard
-    // `(shard(a) + spw) % shards`, owned by the next worker — a
-    // guaranteed cross-owner footprint for any `workers >= 2`.
-    let stop = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let submitters: Vec<_> = (0..workers * 2)
-        .map(|t| {
-            let db = db.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name(format!("exec-submit-{t}"))
-                .spawn(move || {
-                    let payload = [7u8; 64];
-                    let mut i = t as u64;
-                    let mut count = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let a = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % EXEC_KEYS;
-                        let p = if i % 100 < cross_pct {
-                            let b = a + spw as u64;
-                            params::Writer::new().u64(a).u64(b).bytes(&payload).finish()
-                        } else {
-                            params::Writer::new().u64(a).bytes(&payload).finish()
-                        };
-                        let proc = if i % 100 < cross_pct { BENCH_PAIR } else { BENCH_SET };
-                        db.execute(proc, p);
-                        count += 1;
-                        i += (workers * 2) as u64;
-                    }
-                    count
-                })
-                .expect("spawn exec submitter")
-        })
-        .collect();
-    std::thread::sleep(run);
-    stop.store(true, Ordering::Relaxed);
-    let total: u64 = submitters
-        .into_iter()
-        .map(|h| h.join().expect("exec submitter panicked"))
-        .sum();
-    let elapsed = start.elapsed();
-    let committed = db.metrics().committed();
-    assert_eq!(committed, total, "executor bench txns must all commit");
-    match Arc::try_unwrap(db) {
-        Ok(db) => db.shutdown(),
-        Err(_) => panic!("exec submitters must release the database"),
-    }
-    total as f64 / elapsed.as_secs_f64()
 }
 
 /// One capture + recovery measurement at a fixed thread count.
@@ -865,53 +740,6 @@ fn main() {
     };
     ov_db.shutdown();
 
-    // ---- Section 8: shard-owned executor vs legacy pool (ISSUE 10).
-    // Cross-shard ratio × worker count, both modes on identical
-    // workloads. The gate: at 0% cross-shard, the lock-free single-owner
-    // path must beat ordered 2PL — that is the whole point of the
-    // refactor. Best-of-2 per gated point damps scheduler noise.
-    let exec_run = Duration::from_millis(env_u64("BENCH_EXEC_MS", 400));
-    let exec_workers = [2usize, 4];
-    let exec_ratios = [0u64, 10, 50];
-    let mut exec_points = Vec::new();
-    for &workers in &exec_workers {
-        for &pct in &exec_ratios {
-            for mode in [
-                calc_engine::ExecutorMode::Pool,
-                calc_engine::ExecutorMode::ShardOwned,
-            ] {
-                eprintln!(
-                    "pipeline: executor — {mode}, {workers} workers, {pct}% cross-shard…"
-                );
-                let tps_a = executor_point(mode, workers, pct, exec_run, &root);
-                let tps = if pct == 0 {
-                    tps_a.max(executor_point(mode, workers, pct, exec_run, &root))
-                } else {
-                    tps_a
-                };
-                exec_points.push((mode.name(), workers, pct, tps));
-            }
-        }
-    }
-    let mut exec_speedups = Vec::new();
-    for &workers in &exec_workers {
-        let tps_of = |mode: &str| {
-            exec_points
-                .iter()
-                .find(|(m, w, p, _)| *m == mode && *w == workers && *p == 0)
-                .map(|(_, _, _, t)| *t)
-                .expect("0% point present for both modes")
-        };
-        let pool = tps_of("pool");
-        let owned = tps_of("shard_owned");
-        assert!(
-            owned > pool,
-            "shard-owned single-shard throughput ({owned:.0} tps) must beat the \
-             legacy pool ({pool:.0} tps) at 0% cross-shard with {workers} workers"
-        );
-        exec_speedups.push((workers, owned / pool.max(1e-9)));
-    }
-
     // ---- Emit JSON (hand-rolled; every value is a number or plain name).
     let mut json = String::new();
     json.push_str("{\n");
@@ -1029,29 +857,6 @@ fn main() {
          \"shed_connections\": {ov_shed_connections}, \
          \"capture_yields\": {ov_capture_yields}\n"
     ));
-    json.push_str("  },\n");
-    json.push_str("  \"executor\": {\n");
-    json.push_str(&format!(
-        "    \"run_ms\": {}, \"keys\": 4096,\n",
-        exec_run.as_millis()
-    ));
-    json.push_str("    \"points\": [\n");
-    for (i, (mode, workers, pct, tps)) in exec_points.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"mode\": \"{mode}\", \"workers\": {workers}, \
-             \"cross_shard_pct\": {pct}, \"tps\": {tps:.1}}}{}\n",
-            if i + 1 < exec_points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"single_shard_speedup\": [\n");
-    for (i, (workers, speedup)) in exec_speedups.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"workers\": {workers}, \"shard_owned_over_pool\": {speedup:.3}}}{}\n",
-            if i + 1 < exec_speedups.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ]\n");
     json.push_str("  }\n");
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");

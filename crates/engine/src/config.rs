@@ -146,58 +146,6 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-/// How the engine's worker pool executes transactions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecutorMode {
-    /// Legacy shared pool: one submission queue, any worker takes any
-    /// transaction, isolation via the shared ordered-2PL lock manager.
-    #[default]
-    Pool,
-    /// Thread-per-core shard ownership: each worker owns a contiguous
-    /// stripe of shards, transactions route to their footprint's owner,
-    /// and single-owner transactions run lock-free (serial on the owner).
-    /// Cross-owner transactions briefly fence the involved owners.
-    ShardOwned,
-}
-
-impl ExecutorMode {
-    /// Display/parse name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutorMode::Pool => "pool",
-            ExecutorMode::ShardOwned => "shard_owned",
-        }
-    }
-
-    /// Parses a name as printed by [`ExecutorMode::name`]
-    /// (case-insensitive; `-` and `_` are interchangeable).
-    pub fn parse(s: &str) -> Option<ExecutorMode> {
-        match s.to_ascii_lowercase().replace('-', "_").as_str() {
-            "pool" => Some(ExecutorMode::Pool),
-            "shard_owned" => Some(ExecutorMode::ShardOwned),
-            _ => None,
-        }
-    }
-
-    /// The mode named by the `EXEC_MODE` environment variable, or the
-    /// default ([`ExecutorMode::Pool`]). Lets every harness (sim,
-    /// conform, bench, verify.sh) rerun its suite under the shard-owned
-    /// executor without per-test plumbing, the same convention as
-    /// `CKPT_THREADS`/`CKPT_CODEC`.
-    pub fn from_env() -> ExecutorMode {
-        std::env::var("EXEC_MODE")
-            .ok()
-            .and_then(|s| ExecutorMode::parse(&s))
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for ExecutorMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Where a warm standby tails its primary from. Both paths name the
 /// *primary's* durable state; the standby only ever reads them (plus the
 /// quarantine renames `CheckpointDir::scan` performs on corrupt published
@@ -235,16 +183,6 @@ pub struct EngineConfig {
     pub store: StoreConfig,
     /// Worker threads executing transactions.
     pub workers: usize,
-    /// How the worker pool executes transactions: the legacy shared
-    /// queue + lock manager ([`ExecutorMode::Pool`]) or thread-per-core
-    /// shard ownership ([`ExecutorMode::ShardOwned`]). Defaults to the
-    /// `EXEC_MODE` environment variable when set (`pool`/`shard_owned`),
-    /// else `Pool`.
-    pub executor_mode: ExecutorMode,
-    /// Shards per worker for the shard-owned executor (total routing
-    /// shards = `workers * shards_per_worker`). More shards smooth load
-    /// imbalance across owners; ignored under [`ExecutorMode::Pool`].
-    pub shards_per_worker: usize,
     /// Submission queue capacity: `Some(n)` gives a bounded queue whose
     /// backpressure produces closed-loop (peak-throughput) behaviour;
     /// `None` is unbounded, for open-loop latency experiments where the
@@ -362,8 +300,6 @@ impl EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().saturating_sub(1).max(1))
                 .unwrap_or(4),
-            executor_mode: ExecutorMode::from_env(),
-            shards_per_worker: 8,
             queue_capacity: Some(4096),
             retain_command_log: false,
             checkpoint_dir: dir,
@@ -424,18 +360,5 @@ mod tests {
             assert_eq!(s.name(), k.name(), "strategy name mismatch for {k:?}");
             assert_eq!(s.partial(), k.is_partial());
         }
-    }
-
-    #[test]
-    fn executor_mode_parse_roundtrip() {
-        for m in [ExecutorMode::Pool, ExecutorMode::ShardOwned] {
-            assert_eq!(ExecutorMode::parse(m.name()), Some(m));
-            assert_eq!(format!("{m}"), m.name());
-        }
-        assert_eq!(ExecutorMode::parse("shard-owned"), Some(ExecutorMode::ShardOwned));
-        assert_eq!(ExecutorMode::parse("SHARD_OWNED"), Some(ExecutorMode::ShardOwned));
-        assert_eq!(ExecutorMode::parse("Pool"), Some(ExecutorMode::Pool));
-        assert_eq!(ExecutorMode::parse("bogus"), None);
-        assert_eq!(ExecutorMode::default(), ExecutorMode::Pool);
     }
 }

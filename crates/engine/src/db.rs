@@ -1,28 +1,13 @@
-//! The `Database` facade: transaction executor (shared pool or
-//! thread-per-core shard ownership), admission gate, checkpoint
-//! triggering, and background merging.
+//! The `Database` facade: submission queue, worker pool, admission gate,
+//! checkpoint triggering, and background merging.
 //!
-//! Two executor modes share every invariant below the dispatch layer:
-//!
-//! * [`ExecutorMode::Pool`] — the paper's §4 design: one submission
-//!   queue, any worker takes any transaction, isolation via the shared
-//!   ordered-2PL lock manager.
-//! * [`ExecutorMode::ShardOwned`] — thread-per-core shard ownership:
-//!   each worker owns a contiguous stripe of shards
-//!   ([`calc_txn::route::ShardRouter`], aligned with the checkpoint
-//!   pipeline's `ShardPartition` striping and recovery's `key % shards`
-//!   bucketing), transactions route to their pre-declared footprint's
-//!   owner, and single-owner transactions execute **lock-free** — owner
-//!   serialism replaces per-key latching. A footprint spanning several
-//!   owners takes a brief multi-shard *fence*: the lowest involved owner
-//!   coordinates, the others park until the commit completes. Fences
-//!   only ever target higher-indexed workers, so fence-wait edges form a
-//!   DAG and cannot deadlock.
-//!
-//! Both modes assign commit sequences and enqueue on the durable log
-//! under the single `cmdlog` mutex, so channel order equals seq order
-//! and deterministic replay, the conformance checker, group commit, and
-//! standby replay see byte-identical commit-token streams.
+//! The executor is the paper's §4 design: one submission queue, any
+//! worker takes any transaction, and isolation comes from ordered 2PL
+//! over each procedure's pre-declared lock set. Commit sequences are
+//! assigned and enqueued on the durable log under the single `cmdlog`
+//! mutex, so channel order equals seq order, and deterministic replay,
+//! the conformance checker, group commit and standby replay all consume
+//! one commit-token stream.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use calc_common::load::LoadSignal;
 use calc_common::types::{CommitSeq, Key, TxnId, Value};
@@ -46,13 +31,11 @@ use calc_recovery::{
     truncate_segments_below, CommandLogWriter, DurabilityTicket, GroupCommitConfig,
     GroupCommitter, LogBackend, SegmentedLogWriter, TruncateStats,
 };
-use calc_common::perturb::{point as perturb_point, Site};
 use calc_txn::commitlog::{CommitLog, CommitRecord};
 use calc_txn::locks::LockManager;
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry, TxnOps};
-use calc_txn::route::{Route, ShardRouter};
 
-use crate::config::{EngineConfig, ExecutorMode, StrategyKind};
+use crate::config::{EngineConfig, StrategyKind};
 use crate::metrics::{Health, Metrics};
 use crate::service::{classify, CheckpointService};
 
@@ -83,158 +66,6 @@ struct Request {
     /// thread (not a worker) blocks on the batch fsync.
     durable: bool,
     reply: Option<Sender<(TxnOutcome, Option<DurabilityTicket>)>>,
-}
-
-/// How a shard-owned worker must isolate a routed request, decided on the
-/// submitting thread from the procedure's pre-declared lock footprint.
-enum OwnedMode {
-    /// The whole footprint is owned by the receiving worker: execute
-    /// serially, no locks. Carries the procedure the router already
-    /// resolved, so the owner does zero registry lookups — the routed
-    /// fast path does strictly less per-transaction work than the pool.
-    Single(Arc<dyn calc_txn::proc::Procedure>),
-    /// The footprint spans the receiving worker (the coordinator, lowest
-    /// involved owner) plus these higher-indexed co-owners: fence them,
-    /// execute, release.
-    Cross(Arc<dyn calc_txn::proc::Procedure>, Vec<usize>),
-    /// Routing already failed (unknown procedure, undeclarable
-    /// footprint): the worker reports the abort without running anything,
-    /// so outcome accounting matches the pool executor exactly.
-    Abort(AbortReason),
-}
-
-/// A message on a shard-owned worker's queue.
-enum WorkerMsg {
-    Req(Request, OwnedMode),
-    /// Park until the sending coordinator's cross-shard commit completes.
-    Fence(Arc<FenceState>),
-    /// Drain-and-exit marker; [`Database::stop_threads`] sends exactly one
-    /// per worker, after all requests, and joins each worker in ascending
-    /// index order so no dead worker is ever a fence target.
-    Shutdown,
-}
-
-/// Rendezvous for a cross-shard fence: co-owners park, the coordinator
-/// waits for all of them, commits, and releases.
-///
-/// Deadlock freedom: fences only target workers with a *higher* index
-/// than the coordinator (the coordinator is the lowest involved owner),
-/// so every fence-wait edge points up the worker order and no cycle can
-/// form. The coordinator takes the admission gate only *after* every
-/// co-owner has parked — a parked worker holds no gate access, so a
-/// pending quiesce writer (which blocks new readers under parking_lot's
-/// writer preference) can serialize against the fence without wedging it.
-struct FenceState {
-    /// (parked co-owners, released flag).
-    state: Mutex<(usize, bool)>,
-    cv: Condvar,
-    expected: usize,
-}
-
-impl FenceState {
-    fn new(expected: usize) -> Self {
-        FenceState {
-            state: Mutex::new((0, false)),
-            cv: Condvar::new(),
-            expected,
-        }
-    }
-
-    /// Co-owner side: register as parked, block until released.
-    fn park(&self) {
-        perturb_point(Site::OwnerHandoff);
-        let mut s = self.state.lock();
-        s.0 += 1;
-        self.cv.notify_all();
-        while !s.1 {
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// Coordinator side: wait until every co-owner is parked.
-    fn wait_parked(&self) {
-        let mut s = self.state.lock();
-        while s.0 < self.expected {
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// Coordinator side: the commit is done, release the co-owners.
-    fn release(&self) {
-        perturb_point(Site::OwnerHandoff);
-        let mut s = self.state.lock();
-        s.1 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// The shard-owned executor's dispatch state: one queue per worker plus
-/// the router and per-worker depth gauges (shared with [`Health`]).
-struct ShardExec {
-    senders: Vec<Sender<WorkerMsg>>,
-    router: ShardRouter,
-    depths: Arc<[AtomicU64]>,
-}
-
-impl ShardExec {
-    /// Classifies a request's footprint and picks its worker. Counters
-    /// feed [`Health`] so routing quality is observable from day one.
-    fn route(&self, inner: &Inner, proc: ProcId, params: &[u8]) -> (usize, OwnedMode) {
-        let Some(p) = inner.registry.get(proc) else {
-            inner.health.record_routing_fallback();
-            return (
-                0,
-                OwnedMode::Abort(AbortReason::BadParams(format!(
-                    "unknown procedure {proc:?}"
-                ))),
-            );
-        };
-        match p.locks(params) {
-            Err(e) => {
-                inner.health.record_routing_fallback();
-                (0, OwnedMode::Abort(e))
-            }
-            Ok(request) => match self.router.classify(&request) {
-                Route::Single(w) => {
-                    inner.health.record_single_shard_txn();
-                    (w, OwnedMode::Single(p.clone()))
-                }
-                Route::Cross(owners) => {
-                    inner.health.record_cross_shard_txn();
-                    let coordinator = owners[0];
-                    (
-                        coordinator,
-                        OwnedMode::Cross(p.clone(), owners[1..].to_vec()),
-                    )
-                }
-                // An empty footprint touches nothing (the determinism
-                // contract), so serial execution anywhere is safe; pin it
-                // to worker 0 and count the fallback.
-                Route::Unrouted => {
-                    inner.health.record_routing_fallback();
-                    (0, OwnedMode::Single(p.clone()))
-                }
-            },
-        }
-    }
-
-    /// Routes and enqueues one request on its owner's queue.
-    fn dispatch(&self, inner: &Inner, req: Request) {
-        let (worker, mode) = self.route(inner, req.proc, &req.params);
-        self.depths[worker].fetch_add(1, Ordering::Relaxed);
-        perturb_point(Site::OwnerHandoff);
-        self.senders[worker]
-            .send(WorkerMsg::Req(req, mode))
-            .expect("workers alive");
-    }
-}
-
-/// The dispatch half of the executor, by mode. The `Option`s are taken at
-/// shutdown so workers observe closed queues (pool) or drain-and-exit
-/// markers (shard-owned).
-enum Executor {
-    Pool(Option<Sender<Request>>),
-    ShardOwned(Option<ShardExec>),
 }
 
 /// How long shutdown waits for a background thread before declaring the
@@ -420,7 +251,9 @@ impl Inner {
 /// chosen by [`EngineConfig::strategy`].
 pub struct Database {
     inner: Arc<Inner>,
-    executor: Executor,
+    /// The submission queue; taken at shutdown so workers observe a
+    /// closed channel, drain, and exit.
+    sender: Option<Sender<Request>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     /// The supervised checkpoint daemon, when
     /// [`EngineConfig::checkpoint_interval`] is set.
@@ -596,71 +429,24 @@ impl Database {
             )
         });
 
-        let worker_count = config.workers.max(1);
-        let (executor, workers) = match config.executor_mode {
-            ExecutorMode::Pool => {
-                let (tx, rx) = match config.queue_capacity {
-                    Some(n) => bounded::<Request>(n),
-                    None => unbounded::<Request>(),
-                };
-                let workers = (0..worker_count)
-                    .map(|i| {
-                        let inner = inner.clone();
-                        let rx: Receiver<Request> = rx.clone();
-                        std::thread::Builder::new()
-                            .name(format!("calc-worker-{i}"))
-                            .spawn(move || worker_loop(&inner, &rx))
-                            .expect("spawn worker")
-                    })
-                    .collect();
-                (Executor::Pool(Some(tx)), workers)
-            }
-            ExecutorMode::ShardOwned => {
-                let router = ShardRouter::new(worker_count, config.shards_per_worker);
-                let depths: Arc<[AtomicU64]> = (0..worker_count)
-                    .map(|_| AtomicU64::new(0))
-                    .collect::<Vec<_>>()
-                    .into();
-                inner.health.install_worker_queues(depths.clone());
-                let mut senders = Vec::with_capacity(worker_count);
-                let mut receivers = Vec::with_capacity(worker_count);
-                for _ in 0..worker_count {
-                    let (tx, rx) = match config.queue_capacity {
-                        Some(n) => bounded::<WorkerMsg>(n),
-                        None => unbounded::<WorkerMsg>(),
-                    };
-                    senders.push(tx);
-                    receivers.push(rx);
-                }
-                let workers = receivers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, rx)| {
-                        let inner = inner.clone();
-                        let senders = senders.clone();
-                        let depths = depths.clone();
-                        std::thread::Builder::new()
-                            .name(format!("calc-owner-{i}"))
-                            .spawn(move || {
-                                owned_worker_loop(&inner, &rx, &senders, &depths[i])
-                            })
-                            .expect("spawn worker")
-                    })
-                    .collect();
-                (
-                    Executor::ShardOwned(Some(ShardExec {
-                        senders,
-                        router,
-                        depths,
-                    })),
-                    workers,
-                )
-            }
+        let (tx, rx) = match config.queue_capacity {
+            Some(n) => bounded::<Request>(n),
+            None => unbounded::<Request>(),
         };
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let inner = inner.clone();
+                let rx: Receiver<Request> = rx.clone();
+                std::thread::Builder::new()
+                    .name(format!("calc-worker-{i}"))
+                    .spawn(move || worker_loop(&inner, &rx))
+                    .expect("spawn worker")
+            })
+            .collect();
 
         Ok(Database {
             inner,
-            executor,
+            sender: Some(tx),
             workers,
             service,
         })
@@ -685,20 +471,12 @@ impl Database {
         }
     }
 
-    /// Routes one request to the executor: the shared queue (pool) or the
-    /// owner's queue chosen by footprint classification (shard-owned).
     fn dispatch(&self, req: Request) {
-        match &self.executor {
-            Executor::Pool(tx) => tx
-                .as_ref()
-                .expect("database not shut down")
-                .send(req)
-                .expect("workers alive"),
-            Executor::ShardOwned(ex) => ex
-                .as_ref()
-                .expect("database not shut down")
-                .dispatch(&self.inner, req),
-        }
+        self.sender
+            .as_ref()
+            .expect("database not shut down")
+            .send(req)
+            .expect("workers alive");
     }
 
     /// Submits a transaction fire-and-forget. Blocks when the bounded
@@ -857,22 +635,6 @@ impl Database {
         self.inner.kind
     }
 
-    /// The active executor mode.
-    pub fn executor_mode(&self) -> ExecutorMode {
-        match &self.executor {
-            Executor::Pool(_) => ExecutorMode::Pool,
-            Executor::ShardOwned(_) => ExecutorMode::ShardOwned,
-        }
-    }
-
-    /// The shard-owned executor's router (`None` under the legacy pool).
-    pub fn shard_router(&self) -> Option<ShardRouter> {
-        match &self.executor {
-            Executor::Pool(_) => None,
-            Executor::ShardOwned(ex) => ex.as_ref().map(|e| e.router),
-        }
-    }
-
     /// Recovers this (freshly opened, unused) database from its checkpoint
     /// directory plus a command log: loads the newest recovery chain,
     /// deterministically replays `commands` past the watermark, then
@@ -938,28 +700,9 @@ impl Database {
         if let Some(svc) = self.service.take() {
             svc.stop();
         }
-        match &mut self.executor {
-            Executor::Pool(tx) => {
-                drop(tx.take());
-                for w in self.workers.drain(..) {
-                    join_bounded(w, "worker");
-                }
-            }
-            Executor::ShardOwned(ex) => {
-                if let Some(ex) = ex.take() {
-                    // Shut down in ascending index order, joining each
-                    // worker before signalling the next: fences only
-                    // target higher indices, so by the time worker i sees
-                    // its Shutdown marker every coordinator that could
-                    // still fence it (index < i) has already exited, and
-                    // every co-owner worker i itself may still need to
-                    // fence (index > i) is still alive.
-                    for (i, w) in self.workers.drain(..).enumerate() {
-                        let _ = ex.senders[i].send(WorkerMsg::Shutdown);
-                        join_bounded(w, "worker");
-                    }
-                }
-            }
+        drop(self.sender.take());
+        for w in self.workers.drain(..) {
+            join_bounded(w, "worker");
         }
         for h in self.inner.mergers.lock().drain(..) {
             join_bounded(h, "merger");
@@ -1024,69 +767,8 @@ fn worker_loop(inner: &Inner, rx: &Receiver<Request>) {
     }
 }
 
-/// A shard-owned worker: pops routed requests off its own queue and runs
-/// them serially over the shards it owns. Single-owner requests execute
-/// lock-free; cross-shard requests fence the involved co-owners; `Fence`
-/// messages park this worker for a lower-indexed coordinator's commit.
-fn owned_worker_loop(
-    inner: &Inner,
-    rx: &Receiver<WorkerMsg>,
-    senders: &[Sender<WorkerMsg>],
-    depth: &AtomicU64,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Req(req, mode) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let (outcome, ticket) = match mode {
-                    // Match the pool executor's accounting: routing-time
-                    // failures produce the abort outcome without touching
-                    // the strategy or metrics.
-                    OwnedMode::Abort(e) => (TxnOutcome::Aborted(e), None),
-                    OwnedMode::Single(proc) => {
-                        // Admission: held for the whole transaction, as in
-                        // the pool loop, so a quiesce observes no
-                        // in-flight commit work.
-                        let _admission = inner.gate.read();
-                        perturb_point(Site::OwnerHandoff);
-                        run_transaction(inner, &req, proc.as_ref(), None)
-                    }
-                    OwnedMode::Cross(proc, co_owners) => {
-                        let fence = Arc::new(FenceState::new(co_owners.len()));
-                        for &w in &co_owners {
-                            senders[w]
-                                .send(WorkerMsg::Fence(fence.clone()))
-                                .expect("co-owner alive");
-                        }
-                        fence.wait_parked();
-                        // Take the admission gate only now: every involved
-                        // owner is parked holding no gate access, so a
-                        // pending quiesce writer serializes cleanly before
-                        // or after this commit instead of deadlocking
-                        // between coordinator and co-owners.
-                        let result = {
-                            let _admission = inner.gate.read();
-                            run_transaction(inner, &req, proc.as_ref(), None)
-                        };
-                        fence.release();
-                        result
-                    }
-                };
-                if let Some(reply) = &req.reply {
-                    let _ = reply.send((outcome, ticket));
-                }
-            }
-            WorkerMsg::Fence(fence) => fence.park(),
-            WorkerMsg::Shutdown => break,
-        }
-    }
-}
-
-/// Runs one transaction under ordered 2PL (the pool executor's isolation
-/// model): acquire the pre-declared lock set, run, release after commit
-/// processing. (The shard-owned executor needs no counterpart: its router
-/// resolves the procedure and proves exclusivity up front, so workers
-/// call [`run_transaction`] directly with no lock guard.)
+/// Runs one transaction under ordered 2PL: acquire the pre-declared lock
+/// set, run, release after commit processing.
 fn execute_one(inner: &Inner, req: &Request) -> (TxnOutcome, Option<DurabilityTicket>) {
     let Some(proc) = inner.registry.get(req.proc) else {
         return (
@@ -1103,22 +785,19 @@ fn execute_one(inner: &Inner, req: &Request) -> (TxnOutcome, Option<DurabilityTi
     };
     let lockset = lock_request.to_lock_set();
     let guard = inner.locks.acquire(&lockset);
-    run_transaction(inner, req, proc.as_ref(), Some(guard))
+    run_transaction(inner, req, proc.as_ref(), guard)
 }
 
-/// The shared transaction body: strategy hooks, commit-token append, and
-/// metrics — identical for both executors, so the commit-token stream
-/// (and everything downstream of it: deterministic replay, conformance,
-/// group commit, standby tailing) is byte-compatible across modes. For a
-/// durable request that commits, the second element is the commit's
-/// [`DurabilityTicket`] — the worker never waits on it (a worker parked
-/// on an fsync would stall the whole pool behind one batch); the
-/// submitting thread does.
+/// The transaction body under its held lock set: strategy hooks,
+/// commit-token append, and metrics. For a durable request that commits,
+/// the second element is the commit's [`DurabilityTicket`] — the worker
+/// never waits on it (a worker parked on an fsync would stall the whole
+/// pool behind one batch); the submitting thread does.
 fn run_transaction(
     inner: &Inner,
     req: &Request,
     proc: &dyn calc_txn::proc::Procedure,
-    guard: Option<calc_txn::locks::LockSetGuard<'_>>,
+    guard: calc_txn::locks::LockSetGuard<'_>,
 ) -> (TxnOutcome, Option<DurabilityTicket>) {
     let mut token = inner.strategy.txn_begin();
     #[cfg(feature = "conform")]
@@ -1351,9 +1030,8 @@ mod tests {
         }
     }
 
-    /// Moves `delta` from one counter to another — a two-key footprint
-    /// that spans owners whenever the keys hash to different workers, so
-    /// it exercises the cross-shard fence path under `shard_owned`.
+    /// Moves `delta` from one counter to another — a two-key footprint,
+    /// so concurrent transfers contend on overlapping lock sets.
     struct TransferProc;
     impl Procedure for TransferProc {
         fn id(&self) -> ProcId {
@@ -1390,7 +1068,7 @@ mod tests {
         }
     }
 
-    fn db_with_mode(kind: StrategyKind, name: &str, mode: ExecutorMode) -> Database {
+    fn db(kind: StrategyKind, name: &str) -> Database {
         let dir = std::env::temp_dir().join(format!(
             "calc-engine-{}-{}-{name}",
             std::process::id(),
@@ -1406,15 +1084,7 @@ mod tests {
         let mut config = EngineConfig::new(kind, 1024, 16, dir);
         config.workers = 4;
         config.retain_command_log = true;
-        config.executor_mode = mode;
         Database::open(config, registry).unwrap()
-    }
-
-    /// Default-mode database: inherits `EXEC_MODE` via `EngineConfig::new`,
-    /// so the whole module reruns under either executor from the
-    /// environment (scripts/verify.sh does exactly that).
-    fn db(kind: StrategyKind, name: &str) -> Database {
-        db_with_mode(kind, name, ExecutorMode::from_env())
     }
 
     fn add_params(key: u64, delta: u64, limit: u64) -> Arc<[u8]> {
@@ -1453,6 +1123,8 @@ mod tests {
         let db = db(StrategyKind::Calc, "unknown");
         let out = db.execute(ProcId(99), add_params(1, 1, 10));
         assert!(matches!(out, TxnOutcome::Aborted(AbortReason::BadParams(_))));
+        // A procedure that never ran does not reach the outcome metrics.
+        assert_eq!(db.metrics().aborted(), 0);
     }
 
     #[test]
@@ -1679,37 +1351,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_owned_single_key_txns_run_lock_free_and_count() {
-        let db = db_with_mode(StrategyKind::Calc, "so-single", ExecutorMode::ShardOwned);
-        assert_eq!(db.executor_mode(), ExecutorMode::ShardOwned);
-        for i in 0..200u64 {
-            let out = db.execute(ProcId(1), add_params(i % 16, 1, u64::MAX));
-            assert!(matches!(out, TxnOutcome::Committed(_)));
-        }
-        for k in 0..16u64 {
-            let got =
-                u64::from_le_bytes(db.get(Key(k)).unwrap()[..8].try_into().unwrap());
-            assert_eq!(got, 200 / 16 + u64::from(k < 200 % 16));
-        }
-        let health = db.health();
-        assert_eq!(health.single_shard_txns(), 200);
-        assert_eq!(health.cross_shard_txns(), 0);
-        assert_eq!(health.routing_fallbacks(), 0);
-        assert_eq!(db.metrics().committed(), 200);
-    }
-
-    #[test]
-    fn shard_owned_cross_shard_transfers_conserve_total() {
-        let db = db_with_mode(StrategyKind::Calc, "so-cross", ExecutorMode::ShardOwned);
-        let router = db.shard_router().expect("shard-owned router");
+    fn concurrent_transfers_conserve_total() {
+        let db = db(StrategyKind::Calc, "transfers");
         const KEYS: u64 = 16;
         for k in 0..KEYS {
             db.execute(ProcId(1), add_params(k, 1000, u64::MAX));
         }
-        // Mix of genuinely cross-owner pairs and same-owner pairs, fired
-        // from several submitter threads so fences interleave with
-        // single-owner traffic.
-        let mut cross = 0u64;
+        // Overlapping two-key footprints fired from several submitter
+        // threads, so lock sets contend across workers.
         let mut handles = Vec::new();
         let db = Arc::new(db);
         for t in 0..4u64 {
@@ -1729,15 +1378,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        for i in 0..KEYS {
-            for j in 0..KEYS {
-                if i != j && router.owner_of_key(Key(i)) != router.owner_of_key(Key(j)) {
-                    cross += 1;
-                }
-            }
-        }
-        assert!(cross > 0, "workload never crossed owners; widen KEYS");
-        assert!(db.health().cross_shard_txns() > 0, "no fence path exercised");
         let total: u64 = (0..KEYS)
             .map(|k| u64::from_le_bytes(db.get(Key(k)).unwrap()[..8].try_into().unwrap()))
             .sum();
@@ -1745,29 +1385,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_owned_concurrent_submissions_all_commit() {
-        let db = db_with_mode(StrategyKind::Calc, "so-concurrent", ExecutorMode::ShardOwned);
-        for i in 0..1000u64 {
-            db.submit(ProcId(1), add_params(i % 10, 1, u64::MAX));
-        }
-        let metrics = db.metrics().clone();
-        let strategy = db.strategy().clone();
-        db.shutdown();
-        assert_eq!(metrics.committed(), 1000);
-        let total: u64 = (0..10u64)
-            .map(|k| {
-                u64::from_le_bytes(strategy.get(Key(k)).unwrap()[..8].try_into().unwrap())
-            })
-            .sum();
-        assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn shard_owned_commit_log_stays_in_seq_order() {
-        // The commit-token invariant across the refactor: the retained
-        // command log must be strictly seq-ordered even when commits come
-        // from different owner threads and fenced cross-shard commits.
-        let db = db_with_mode(StrategyKind::Calc, "so-order", ExecutorMode::ShardOwned);
+    fn commit_log_stays_in_seq_order() {
+        // The commit-token invariant: the retained command log must be
+        // strictly seq-ordered even when one- and two-key commits come
+        // from different worker threads.
+        let db = db(StrategyKind::Calc, "order");
         for k in 0..8u64 {
             db.execute(ProcId(1), add_params(k, 100, u64::MAX));
         }
@@ -1796,26 +1418,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_owned_unknown_procedure_aborts_and_counts_fallback() {
-        let db = db_with_mode(StrategyKind::Calc, "so-unknown", ExecutorMode::ShardOwned);
-        let out = db.execute(ProcId(99), add_params(1, 1, 10));
-        assert!(matches!(out, TxnOutcome::Aborted(AbortReason::BadParams(_))));
-        assert_eq!(db.health().routing_fallbacks(), 1);
-        // Parity with the pool executor: routing-time aborts do not reach
-        // the outcome metrics (the pool's early returns never did).
-        assert_eq!(db.metrics().aborted(), 0);
-    }
-
-    #[test]
-    fn shard_owned_checkpoint_quiesces_across_fences() {
+    fn checkpoints_interleave_with_two_key_transfers() {
         // A checkpoint's quiesce (gate.write) must interleave safely with
-        // cross-shard fences: coordinators take gate.read only once every
-        // co-owner is parked, so the writer can never wedge between them.
-        let db = Arc::new(db_with_mode(
-            StrategyKind::Calc,
-            "so-quiesce",
-            ExecutorMode::ShardOwned,
-        ));
+        // workers holding two-key lock sets: every cycle completes and the
+        // transfers conserve the total.
+        let db = Arc::new(db(StrategyKind::Calc, "quiesce"));
         for k in 0..12u64 {
             db.execute(ProcId(1), add_params(k, 1000, u64::MAX));
         }
@@ -1846,20 +1453,6 @@ mod tests {
             .sum();
         assert_eq!(total, 12 * 1000);
         assert!(!db.checkpoint_dir().scan().unwrap().is_empty());
-    }
-
-    #[test]
-    fn shard_owned_worker_queue_depths_are_exposed() {
-        let db = db_with_mode(StrategyKind::Calc, "so-depths", ExecutorMode::ShardOwned);
-        let depths = db.health().worker_queue_depths();
-        assert_eq!(depths.len(), 4, "one gauge per worker");
-        // After a synchronous round-trip, nothing is left enqueued.
-        db.execute(ProcId(1), add_params(1, 1, u64::MAX));
-        assert!(db.health().worker_queue_depths().iter().all(|&d| d == 0));
-        // Pool mode exposes no per-worker gauges.
-        let pool = db_with_mode(StrategyKind::Calc, "so-depths-pool", ExecutorMode::Pool);
-        assert!(pool.health().worker_queue_depths().is_empty());
-        assert!(pool.shard_router().is_none());
     }
 
     #[test]

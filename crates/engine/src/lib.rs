@@ -28,7 +28,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod service;
 
-pub use config::{EngineConfig, ExecutorMode, StandbyOf, StrategyKind};
+pub use config::{EngineConfig, StandbyOf, StrategyKind};
 pub use db::{Database, SyncError, TxnOutcome};
 pub use metrics::{Health, Metrics, Sampler, TimelinePoint};
 pub use service::{classify, CheckpointService, ErrorClass, ServiceTuning};

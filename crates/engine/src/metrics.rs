@@ -170,19 +170,6 @@ pub struct Health {
     log_enospc_entries: AtomicU64,
     /// Emergency retention passes triggered by ENOSPC on the command log.
     emergency_retention_passes: AtomicU64,
-    /// Transactions the shard-owned executor ran lock-free on their
-    /// single owning worker.
-    single_shard_txns: AtomicU64,
-    /// Transactions that spanned several owners and took the cross-shard
-    /// fence path.
-    cross_shard_txns: AtomicU64,
-    /// Transactions the router could not classify (empty or undeclarable
-    /// footprint), executed on the fallback worker.
-    routing_fallbacks: AtomicU64,
-    /// Per-worker submission-queue depth gauges, installed by the engine
-    /// at boot (worker count is not known when `Health` is built). Empty
-    /// under the legacy pool executor, which has one shared queue.
-    worker_queues: Mutex<Arc<[AtomicU64]>>,
 }
 
 impl Health {
@@ -228,10 +215,6 @@ impl Health {
             log_read_only: AtomicBool::new(false),
             log_enospc_entries: AtomicU64::new(0),
             emergency_retention_passes: AtomicU64::new(0),
-            single_shard_txns: AtomicU64::new(0),
-            cross_shard_txns: AtomicU64::new(0),
-            routing_fallbacks: AtomicU64::new(0),
-            worker_queues: Mutex::new(Arc::from(Vec::new().into_boxed_slice())),
         }
     }
 
@@ -500,59 +483,6 @@ impl Health {
     /// Emergency retention passes triggered by log ENOSPC.
     pub fn emergency_retention_passes(&self) -> u64 {
         self.emergency_retention_passes.load(Ordering::Relaxed)
-    }
-
-    // --- shard-owned executor ---
-
-    /// A transaction ran lock-free on its single owning worker.
-    #[inline]
-    pub fn record_single_shard_txn(&self) {
-        self.single_shard_txns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A transaction spanned several owners and took the fence path.
-    #[inline]
-    pub fn record_cross_shard_txn(&self) {
-        self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The router could not classify a transaction's footprint; it ran on
-    /// the fallback worker.
-    #[inline]
-    pub fn record_routing_fallback(&self) {
-        self.routing_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lock-free single-owner transactions executed, lifetime total.
-    pub fn single_shard_txns(&self) -> u64 {
-        self.single_shard_txns.load(Ordering::Relaxed)
-    }
-
-    /// Cross-owner (fenced) transactions executed, lifetime total.
-    pub fn cross_shard_txns(&self) -> u64 {
-        self.cross_shard_txns.load(Ordering::Relaxed)
-    }
-
-    /// Unclassifiable transactions routed to the fallback worker.
-    pub fn routing_fallbacks(&self) -> u64 {
-        self.routing_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Installs the per-worker queue-depth gauges. Called once by the
-    /// shard-owned executor at boot; the gauges themselves are updated by
-    /// the dispatch path (push) and the workers (pop).
-    pub fn install_worker_queues(&self, queues: Arc<[AtomicU64]>) {
-        *self.worker_queues.lock() = queues;
-    }
-
-    /// Current submission-queue depth per worker (empty under the legacy
-    /// pool executor, which shares one queue).
-    pub fn worker_queue_depths(&self) -> Vec<u64> {
-        self.worker_queues
-            .lock()
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Background merges that failed.

@@ -24,8 +24,7 @@ fn usage() -> ! {
          \x20                 [--checkpoint-every-ms N] [--max-connections N]\n\
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
          \x20                 [--frame-timeout-ms N] [--capacity-tps N]\n\
-         \x20                 [--no-adaptive-pacing]\n\
-         \x20                 [--executor-mode pool|shard_owned] [--shards-per-worker N]"
+         \x20                 [--no-adaptive-pacing]"
     );
     std::process::exit(2);
 }
@@ -42,8 +41,6 @@ fn main() {
     let mut server_config = calc_server::ServerConfig::default();
     let mut capacity_tps: Option<u64> = None;
     let mut adaptive_pacing = true;
-    let mut executor_mode: Option<calc_engine::config::ExecutorMode> = None;
-    let mut shards_per_worker: Option<usize> = None;
 
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -71,15 +68,6 @@ fn main() {
             }
             "--capacity-tps" => capacity_tps = value().parse().ok(),
             "--no-adaptive-pacing" => adaptive_pacing = false,
-            "--executor-mode" => {
-                executor_mode = Some(
-                    calc_engine::config::ExecutorMode::parse(&value())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--shards-per-worker" => {
-                shards_per_worker = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
             _ => usage(),
         }
     }
@@ -100,13 +88,6 @@ fn main() {
         config.adaptive_pacing = adaptive_pacing;
         if let Some(tps) = capacity_tps {
             config.load_capacity_tps = tps;
-        }
-        // Flag wins over the EXEC_MODE environment default.
-        if let Some(mode) = executor_mode {
-            config.executor_mode = mode;
-        }
-        if let Some(spw) = shards_per_worker {
-            config.shards_per_worker = spw.max(1);
         }
     })
     .expect("open or recover engine");

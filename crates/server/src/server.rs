@@ -500,13 +500,12 @@ fn health_text(db: &Database) -> String {
     let h = db.health();
     let m = db.metrics();
     let load = db.load();
-    let mut out = format!(
+    format!(
         "committed={}\naborted={}\nrecords={}\ncommit_batches={}\ncommit_batch_records={}\n\
          avg_batch_size={:.2}\nfsync_p99_us={}\nactive_connections={}\ntotal_connections={}\n\
          degraded={}\ncheckpoint_failures={}\nload_level={}\ninflight={}\nshed_requests={}\n\
          shed_connections={}\ncapture_yields={}\nlog_read_only={}\nlog_enospc_entries={}\n\
-         emergency_retention_passes={}\nexecutor_mode={}\nsingle_shard_txns={}\n\
-         cross_shard_txns={}\nrouting_fallbacks={}\n",
+         emergency_retention_passes={}\n",
         m.committed(),
         m.aborted(),
         db.record_count(),
@@ -526,17 +525,7 @@ fn health_text(db: &Database) -> String {
         db.log_read_only() || h.log_read_only(),
         h.log_enospc_entries(),
         h.emergency_retention_passes(),
-        db.executor_mode(),
-        h.single_shard_txns(),
-        h.cross_shard_txns(),
-        h.routing_fallbacks(),
-    );
-    // Per-worker queue depths, one gauge per owned worker (empty under
-    // the pool executor, which shares a single queue).
-    for (i, d) in h.worker_queue_depths().iter().enumerate() {
-        out.push_str(&format!("worker_queue_depth_{i}={d}\n"));
-    }
-    out
+    )
 }
 
 /// `STATS` verb: the published checkpoint chain plus retention totals.

@@ -3,8 +3,9 @@
 //! The paper's evaluation system executes transactions as stored
 //! procedures over a pool of worker threads, "using a pessimistic
 //! concurrency control protocol to ensure serializability ... a
-//! deadlock-free variant of strict two-phase locking" (§4). This crate
-//! provides that substrate:
+//! deadlock-free variant of strict two-phase locking" (§4). The pool
+//! itself lives in `calc-engine`'s `db` module; this crate provides the
+//! substrate every one of its workers runs on:
 //!
 //! * [`locks`] — a sharded lock manager with shared/exclusive modes and
 //!   FIFO queuing. Deadlock freedom comes from ordered acquisition:
@@ -21,18 +22,13 @@
 //!   reconstruct post-checkpoint state.
 //! * [`proc`] — the stored-procedure framework: pre-declared lock sets, a
 //!   [`proc::TxnOps`] data interface, and a registry for replay.
-//! * [`route`] — shard-footprint classification for the thread-per-core
-//!   executor: the same pre-declared lock sets, mapped onto shard owners
-//!   so single-owner transactions can skip the lock manager entirely.
 
 #![warn(missing_docs)]
 
 pub mod commitlog;
 pub mod locks;
 pub mod proc;
-pub mod route;
 
 pub use commitlog::{CommitLog, CommitRecord, LogEntry, PhaseStamp};
 pub use locks::{LockManager, LockMode, LockSetGuard};
 pub use proc::{AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps};
-pub use route::{Route, ShardRouter};
